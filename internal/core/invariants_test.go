@@ -40,8 +40,11 @@ func checkInvariants(t *testing.T, s *Scheduler) {
 		}
 		return false
 	}
-	for x, list := range s.readers {
-		for _, r := range list {
+	for x, e := range s.ents {
+		if len(e.readers) == 0 && len(e.writers) == 0 {
+			t.Fatalf("invariant: entity %d keeps an empty index entry", x)
+		}
+		for _, r := range e.readers {
 			id := s.g.IDOf(r)
 			tr := s.txns[id]
 			if tr == nil || tr.ref != r || tr.Access.Get(x) == model.NoAccess {
@@ -49,8 +52,8 @@ func checkInvariants(t *testing.T, s *Scheduler) {
 			}
 		}
 	}
-	for x, list := range s.writers {
-		for _, r := range list {
+	for x, e := range s.ents {
+		for _, r := range e.writers {
 			id := s.g.IDOf(r)
 			tr := s.txns[id]
 			if tr == nil || tr.ref != r || tr.Access.Get(x) != model.WriteAccess {
@@ -62,10 +65,10 @@ func checkInvariants(t *testing.T, s *Scheduler) {
 	for id, tr := range s.txns {
 		for x, a := range tr.Access {
 			if a == model.WriteAccess {
-				if !hasRef(s.writers[x], tr.ref) {
+				if !hasRef(s.ents[x].writers, tr.ref) {
 					t.Fatalf("invariant: writer (T%d, %d) missing from index", id, x)
 				}
-			} else if !hasRef(s.readers[x], tr.ref) {
+			} else if !hasRef(s.ents[x].readers, tr.ref) {
 				t.Fatalf("invariant: reader (T%d, %d) missing from index", id, x)
 			}
 		}

@@ -10,7 +10,7 @@
 // deleted transactions — exactly the non-compositionality the paper
 // studies), and the cross-shard label sets, all in deterministic order.
 //
-// RestoreScheduler inverts it. The entity indexes (readers/writers) are
+// RestoreScheduler inverts it. The entity index (readers/writers) is
 // rebuilt from the access sets: a transaction whose retained access level
 // is WriteAccess re-indexes as a writer only, which is conflict-equivalent
 // — Rules 2 and 3 consult writers for every conflict a read entry could
@@ -89,8 +89,8 @@ func (s *Scheduler) ExportState() SchedulerState {
 			Pinned:   s.g.PinnedRef(t.ref),
 			Access:   make([]AccessSnap, 0, len(t.Access)),
 		}
-		for x, a := range t.Access {
-			snap.Access = append(snap.Access, AccessSnap{Entity: x, Access: a, Seq: t.accessSeq[x]})
+		for _, m := range t.accessSeq {
+			snap.Access = append(snap.Access, AccessSnap{Entity: m.x, Access: t.Access[m.x], Seq: m.seq})
 		}
 		slices.SortFunc(snap.Access, func(a, b AccessSnap) int { return int(a.Entity - b.Entity) })
 		if ls := s.labelsOf(t.ref); len(ls) > 0 {
@@ -109,9 +109,9 @@ func (s *Scheduler) ExportState() SchedulerState {
 			return 0
 		}
 	})
-	st.Writes = make([]EntityWrite, 0, len(s.lastWriteSeq))
-	for x, seq := range s.lastWriteSeq {
-		st.Writes = append(st.Writes, EntityWrite{Entity: x, Seq: seq, Writer: s.lastWriter[x]})
+	st.Writes = make([]EntityWrite, 0, len(s.current))
+	for x, cw := range s.current {
+		st.Writes = append(st.Writes, EntityWrite{Entity: x, Seq: cw.seq, Writer: cw.writer})
 	}
 	slices.SortFunc(st.Writes, func(a, b EntityWrite) int { return int(a.Entity - b.Entity) })
 	return st
@@ -140,7 +140,7 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 			ID:        snap.ID,
 			Status:    snap.Status,
 			Access:    make(model.AccessSet, len(snap.Access)),
-			accessSeq: make(map[model.Entity]int64, len(snap.Access)),
+			accessSeq: make([]accessMark, 0, len(snap.Access)),
 			BeginSeq:  snap.BeginSeq,
 			EndSeq:    snap.EndSeq,
 			ref:       ref,
@@ -148,13 +148,18 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 			prepared:  snap.Prepared,
 		}
 		for _, a := range snap.Access {
-			t.Access[a.Entity] = a.Access
-			t.accessSeq[a.Entity] = a.Seq
-			if a.Access == model.WriteAccess {
-				s.writers[a.Entity] = append(s.writers[a.Entity], ref)
-			} else {
-				s.readers[a.Entity] = append(s.readers[a.Entity], ref)
+			if _, dup := t.Access[a.Entity]; dup {
+				return nil, fmt.Errorf("core: restore: transaction T%d lists entity %d twice", snap.ID, a.Entity)
 			}
+			t.Access[a.Entity] = a.Access
+			t.accessSeq = append(t.accessSeq, accessMark{x: a.Entity, seq: a.Seq})
+			e := s.ents[a.Entity]
+			if a.Access == model.WriteAccess {
+				e.writers = append(e.writers, ref)
+			} else {
+				e.readers = append(e.readers, ref)
+			}
+			s.ents[a.Entity] = e
 		}
 		s.txns[snap.ID] = t
 		switch snap.Status {
@@ -193,8 +198,7 @@ func RestoreScheduler(cfg Config, st SchedulerState) (*Scheduler, error) {
 		if w.Seq > st.Seq {
 			return nil, fmt.Errorf("core: restore: write seq %d for entity %d exceeds scheduler seq %d", w.Seq, w.Entity, st.Seq)
 		}
-		s.lastWriteSeq[w.Entity] = w.Seq
-		s.lastWriter[w.Entity] = w.Writer
+		s.current[w.Entity] = currentWrite{seq: w.Seq, writer: w.Writer}
 	}
 	return s, nil
 }

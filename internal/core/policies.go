@@ -9,8 +9,9 @@
 //
 //   - NoGC           — never delete (the reference full scheduler).
 //   - Lemma1Policy   — delete completed nodes with no active predecessor.
-//   - GreedyC1       — repeatedly delete any node satisfying C1 (safe by
-//     Theorem 3; maximal by inclusion but not maximum).
+//   - GreedyC1       — delete every node satisfying C1 on the successively
+//     reduced graph (safe by Theorem 3; maximal by inclusion but not
+//     maximum).
 //   - MaxSafeExact   — exact maximum safe subset via branch-and-bound over
 //     C1 candidates with C2 feasibility (Theorem 5 problem).
 //   - NoncurrentSafe — Corollary 1 made compositional: delete noncurrent
@@ -22,7 +23,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/graph"
@@ -168,11 +168,17 @@ func (Lemma1Policy) Sweep(sw *Sweep) {
 
 // ---------------------------------------------------------------------------
 
-// GreedyC1 repeatedly deletes any completed transaction satisfying C1 on
-// the successively reduced graph until none does. Theorem 3 guarantees
-// each individual deletion is safe, hence (Theorem 2) the policy is
-// correct. The result is maximal by inclusion; Theorem 5 shows finding the
-// maximum is NP-complete, so greedy is the practical default.
+// GreedyC1 deletes every completed transaction satisfying C1 on the
+// successively reduced graph, scanning candidates once in order. Theorem 3
+// guarantees each individual deletion is safe, hence (Theorem 2) the
+// policy is correct. The result is maximal by inclusion; Theorem 5 shows
+// finding the maximum is NP-complete, so greedy is the practical default.
+//
+// One scan suffices: a deletion leaves tight reachability among the
+// survivors unchanged and only removes a potential witness, so a
+// candidate that fails C1 can never pass later in the same sweep. The
+// verdicts come from the per-sweep C1 index (c1index.go), not from
+// CheckC1.
 //
 // Order controls the scan order; OldestFirst (default) favors deleting
 // older transactions, which empirically keeps the graph smaller because
@@ -191,23 +197,24 @@ func (p GreedyC1) Name() string {
 }
 
 // Sweep implements Policy.
-func (p GreedyC1) Sweep(sw *Sweep) {
+func (p GreedyC1) Sweep(sw *Sweep) { greedyC1Sweep(sw, p.NewestFirst, (*c1Index).holds) }
+
+// greedyC1Sweep is GreedyC1's scan with the C1 verdict passed in.
+func greedyC1Sweep(sw *Sweep, newestFirst bool, holds func(*c1Index, *Scheduler, *TxnState) bool) {
 	s := sw.s
-	for {
-		ids := sw.Completed()
-		if p.NewestFirst {
-			slices.SortFunc(ids, func(a, b model.TxnID) int { return cmp.Compare(b, a) })
-		}
-		progress := false
-		for _, id := range ids {
-			if ok, _ := s.CheckC1(id); ok {
-				if sw.Delete(id) {
-					progress = true
-				}
-			}
-		}
-		if !progress {
-			return
+	ids := sw.Completed()
+	if len(ids) == 0 {
+		return
+	}
+	if newestFirst {
+		slices.Reverse(ids)
+	}
+	ix := &s.c1
+	ix.build(s)
+	for _, id := range ids {
+		t := s.txns[id]
+		if ref := t.ref; holds(ix, s, t) && sw.Delete(id) {
+			ix.clearRow(ref)
 		}
 	}
 }

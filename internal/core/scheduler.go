@@ -80,10 +80,11 @@ type TxnState struct {
 	ID     model.TxnID
 	Status model.Status
 	Access model.AccessSet
-	// accessSeq tracks, per entity, the sequence number of the latest
-	// access; together with Scheduler.lastWriteSeq it decides currency
-	// (Corollary 1).
-	accessSeq map[model.Entity]int64
+	// accessSeq holds, per accessed entity, the sequence number of the
+	// latest access; together with Scheduler.current it decides currency
+	// (Corollary 1). An inline slice, not a map: it is read only by whole
+	// scans, and a retained record is the paper's unit of storage.
+	accessSeq []accessMark
 	BeginSeq  int64
 	EndSeq    int64
 	// ref is the transaction's slot in the graph arena, valid while the
@@ -93,6 +94,24 @@ type TxnState struct {
 	// (see subtxn.go); prepared marks it voted-yes-but-undecided.
 	isCross  bool
 	prepared bool
+}
+
+// accessMark is one entry of TxnState.accessSeq.
+type accessMark struct {
+	x   model.Entity
+	seq int64
+}
+
+// currentWrite is the schedule-level current value of an entity: the
+// sequence number of its latest committed write, and the writer.
+type currentWrite struct {
+	seq    int64
+	writer model.TxnID
+}
+
+// entityIdx is one entity's entry in the scheduler's entity index.
+type entityIdx struct {
+	readers, writers []graph.Ref
 }
 
 // Config configures a Scheduler.
@@ -150,36 +169,36 @@ type Result struct {
 type Scheduler struct {
 	g    *graph.Graph
 	txns map[model.TxnID]*TxnState
-	// readers[x] and writers[x] index the transactions currently in the
-	// graph that have read/written x — the information Rules 2 and 3
-	// consult. Deleting a transaction removes it from these indexes: its
-	// access sets are forgotten. The indexes hold arena slots (graph.Ref),
-	// not IDs, so the per-step cycle test never touches the id→slot map;
-	// empty entries keep their capacity for the next occupant.
-	readers map[model.Entity][]graph.Ref
-	writers map[model.Entity][]graph.Ref
-	// lastWriteSeq and lastWriter track the schedule-level current value
-	// per entity (for Corollary 1's noncurrent rule); lastWriter may name
-	// a deleted transaction, which is precisely what makes the naive
-	// noncurrent rule non-compositional.
-	lastWriteSeq map[model.Entity]int64
-	lastWriter   map[model.Entity]model.TxnID
-	seq          int64
-	cfg          Config
-	stats        Stats
+	// txnDeletes and entDeletes count deletions from txns and ents for
+	// graph.ShrinkMap: both maps churn with every transaction.
+	txnDeletes, entDeletes int
+	// ents is the entity index: ents[x] lists the transactions currently
+	// in the graph that have read/written x — the information Rules 2 and
+	// 3 consult. Deleting a transaction removes it from these lists: its
+	// access sets are forgotten. The lists hold arena slots (graph.Ref),
+	// not IDs, so the per-step cycle test never touches the id→slot map.
+	ents map[model.Entity]entityIdx
+	// idxFree recycles the backing arrays of emptied entity lists: forget
+	// deletes an entity whose last occupant leaves (the paper's
+	// storage-reclamation point applied to the entity index), and without
+	// this list every re-touch of such an entity would allocate a fresh
+	// one-element slice. Bounded; see forget.
+	idxFree [][]graph.Ref
+	// current tracks the schedule-level current value per entity (for
+	// Corollary 1's noncurrent rule); its writer may name a deleted
+	// transaction, which is precisely what makes the naive noncurrent rule
+	// non-compositional.
+	current map[model.Entity]currentWrite
+	seq     int64
+	cfg     Config
+	stats   Stats
 	// numCompleted and numActive are maintained incrementally so the
 	// per-step bookkeeping in afterStep never scans txns.
 	numCompleted int
 	numActive    int
-	// statePool recycles TxnState records (with their maps) across
-	// delete/abort → begin.
+	// statePool recycles TxnState records (with their access records)
+	// across delete/abort → begin. Bounded by statePoolMax.
 	statePool []*TxnState
-	// idxFree recycles the backing arrays of emptied readers/writers
-	// entries: forget deletes an entry whose last occupant leaves (the
-	// paper's storage-reclamation point applied to the entity indexes),
-	// and without this list every re-touch of such an entity would
-	// allocate a fresh one-element slice. Bounded; see forget.
-	idxFree [][]graph.Ref
 	// compScratch backs Sweep.Completed's candidate list, so the policy
 	// sweep loop (which rebuilds the list every deletion round) allocates
 	// nothing in steady state. manualSweep and its deleted buffer are the
@@ -191,6 +210,9 @@ type Scheduler struct {
 	// one heap allocation per completion. Result.Deleted aliases its
 	// buffer until the next sweep, matching SweepNow's contract.
 	autoSweep Sweep
+	// c1 is GreedyC1's per-sweep C1 index (c1index.go), reused across
+	// sweeps.
+	c1 c1Index
 
 	// Cross-shard bookkeeping (subtxn.go), all indexed by arena slot.
 	// crossID names the logical cross transaction occupying a slot as a
@@ -209,13 +231,11 @@ type Scheduler struct {
 // NewScheduler returns an empty scheduler with the given configuration.
 func NewScheduler(cfg Config) *Scheduler {
 	return &Scheduler{
-		g:            graph.New(),
-		txns:         make(map[model.TxnID]*TxnState),
-		readers:      make(map[model.Entity][]graph.Ref),
-		writers:      make(map[model.Entity][]graph.Ref),
-		lastWriteSeq: make(map[model.Entity]int64),
-		lastWriter:   make(map[model.Entity]model.TxnID),
-		cfg:          cfg,
+		g:       graph.New(),
+		txns:    make(map[model.TxnID]*TxnState),
+		ents:    make(map[model.Entity]entityIdx),
+		current: make(map[model.Entity]currentWrite),
+		cfg:     cfg,
 	}
 }
 
@@ -386,7 +406,7 @@ func (s *Scheduler) read(step model.Step) (Result, error) {
 	// Rule 2: arcs from every node that has written x into the reader.
 	g := s.g
 	g.ResetTargets()
-	for _, w := range s.writers[x] {
+	for _, w := range s.ents[x].writers {
 		if w != t.ref {
 			g.MarkTarget(w)
 		}
@@ -423,18 +443,7 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 	// writer of it into the writer.
 	g := s.g
 	g.ResetTargets()
-	for _, x := range step.Entities {
-		for _, r := range s.readers[x] {
-			if r != t.ref {
-				g.MarkTarget(r)
-			}
-		}
-		for _, w := range s.writers[x] {
-			if w != t.ref {
-				g.MarkTarget(w)
-			}
-		}
-	}
+	s.markAccessors(t, step.Entities)
 	if g.ReachesAnyTarget(t.ref) {
 		return s.reject(step, t, false), nil
 	}
@@ -446,15 +455,13 @@ func (s *Scheduler) writeFinal(step model.Step) (Result, error) {
 		// The write's new arcs pushed a label into a cross sub-node and the
 		// registry vetoed: the step would close a cycle spanning shard
 		// graphs. Reject it before any access bookkeeping lands — in
-		// particular lastWriteSeq/lastWriter must never name a write that
-		// failed, or Corollary 1's noncurrency test would see a phantom
-		// overwrite.
+		// particular current must never name a write that failed, or
+		// Corollary 1's noncurrency test would see a phantom overwrite.
 		return s.reject(step, t, true), nil
 	}
 	for _, x := range step.Entities {
 		s.noteAccess(t, x, model.WriteAccess)
-		s.lastWriteSeq[x] = s.seq
-		s.lastWriter[x] = t.ID
+		s.current[x] = currentWrite{seq: s.seq, writer: t.ID}
 	}
 	t.Status = model.StatusCompleted
 	t.EndSeq = s.seq
@@ -494,11 +501,8 @@ func (s *Scheduler) acquireState(id model.TxnID, ref graph.Ref) *TxnState {
 		t = s.statePool[n-1]
 		s.statePool = s.statePool[:n-1]
 	} else {
-		//lint:ignore hotpath-alloc pool miss only: in steady state delete/abort→begin recycles through statePool, so this branch runs O(peak concurrent txns) times, not O(steps)
-		t = &TxnState{
-			Access:    make(model.AccessSet),
-			accessSeq: make(map[model.Entity]int64),
-		}
+		//lint:ignore hotpath-alloc pool miss only: in steady state delete/abort→begin recycles through statePool (up to statePoolMax records), so this branch runs when the live record count climbs past its earlier level, not once per step
+		t = &TxnState{Access: make(model.AccessSet)}
 	}
 	t.ID = id
 	t.Status = model.StatusActive
@@ -510,13 +514,22 @@ func (s *Scheduler) acquireState(id model.TxnID, ref graph.Ref) *TxnState {
 	return t
 }
 
+// statePoolMax bounds the TxnState recycle list. A burst of deletions
+// (a straggler's retention cascade releasing thousands of records at
+// once) must not pin that peak's worth of records for good; beyond the
+// bound, released records go to the GC and a later burst re-allocates.
+const statePoolMax = 256
+
 // releaseState recycles a TxnState that has been removed from txns. The
-// maps are cleared here, at release time: no live code may retain an
-// AccessSet of a deleted/aborted transaction.
+// access record is cleared here, at release time: no live code may retain
+// an AccessSet of a deleted/aborted transaction.
 func (s *Scheduler) releaseState(t *TxnState) {
-	clear(t.Access)
-	clear(t.accessSeq)
 	t.ref = graph.NoRef
+	if len(s.statePool) >= statePoolMax {
+		return
+	}
+	clear(t.Access)
+	t.accessSeq = t.accessSeq[:0]
 	s.statePool = append(s.statePool, t)
 }
 
@@ -525,21 +538,34 @@ func (s *Scheduler) noteAccess(t *TxnState, x model.Entity, a model.Access) {
 	if a > prev {
 		t.Access[x] = a
 	}
-	t.accessSeq[x] = s.seq
+	if prev == model.NoAccess {
+		t.accessSeq = append(t.accessSeq, accessMark{x: x, seq: s.seq})
+	} else {
+		for i := len(t.accessSeq) - 1; i >= 0; i-- {
+			if t.accessSeq[i].x == x {
+				t.accessSeq[i].seq = s.seq
+				break
+			}
+		}
+	}
 	// First read of x indexes t as a reader; a (final) write indexes it
 	// as a writer even if it read x before — Rule 3 consults both.
 	if a == model.WriteAccess {
 		if prev < model.WriteAccess {
-			s.writers[x] = s.appendIdx(s.writers[x], t.ref)
+			e := s.ents[x]
+			e.writers = s.appendIdx(e.writers, t.ref)
+			s.ents[x] = e
 		}
 	} else if prev == model.NoAccess {
-		s.readers[x] = s.appendIdx(s.readers[x], t.ref)
+		e := s.ents[x]
+		e.readers = s.appendIdx(e.readers, t.ref)
+		s.ents[x] = e
 	}
 }
 
-// appendIdx appends r to an entity-index slice, seeding a fresh entry from
-// the idxFree recycle list so touching an entity whose index entry was
-// reclaimed does not allocate.
+// appendIdx appends r to an entity list, seeding a fresh list from the
+// idxFree recycle list so touching an entity whose entry was reclaimed
+// does not allocate.
 func (s *Scheduler) appendIdx(rs []graph.Ref, r graph.Ref) []graph.Ref {
 	if rs == nil {
 		if n := len(s.idxFree); n > 0 {
@@ -549,6 +575,24 @@ func (s *Scheduler) appendIdx(rs []graph.Ref, r graph.Ref) []graph.Ref {
 		}
 	}
 	return append(rs, r)
+}
+
+// markAccessors adds every other present reader and writer of the given
+// entities to the graph's target set: the arc tails of Rule 3.
+func (s *Scheduler) markAccessors(t *TxnState, entities []model.Entity) {
+	for _, x := range entities {
+		e := s.ents[x]
+		for _, r := range e.readers {
+			if r != t.ref {
+				s.g.MarkTarget(r)
+			}
+		}
+		for _, w := range e.writers {
+			if w != t.ref {
+				s.g.MarkTarget(w)
+			}
+		}
+	}
 }
 
 // reject aborts the acting transaction: the step is refused and the node,
@@ -565,7 +609,7 @@ func (s *Scheduler) reject(step model.Step, t *TxnState, cross bool) Result {
 	s.clearCross(t)
 	s.g.RemoveRef(t.ref)
 	t.Status = model.StatusAborted
-	delete(s.txns, t.ID)
+	s.dropTxn(t.ID)
 	s.numActive--
 	s.releaseState(t)
 	s.stats.Rejected++
@@ -575,29 +619,28 @@ func (s *Scheduler) reject(step model.Step, t *TxnState, cross bool) Result {
 	return res
 }
 
-// forget erases the transaction from the per-entity indexes. Its graph
-// node is handled separately (RemoveRef on abort, ReduceRef on deletion).
-// An entry whose last occupant leaves is deleted outright — the paper's
-// storage-reclamation point applies to the entity indexes too, and a
-// long-lived server reading a wide sparse keyspace must not retain a
-// slice per entity it ever saw. Hot entities keep a non-empty slice, so
-// the steady-state append path stays allocation-free.
+// forget erases the transaction from the entity index. Its graph node is
+// handled separately (RemoveRef on abort, ReduceRef on deletion). An
+// entity whose last occupant leaves is deleted outright — the paper's
+// storage-reclamation point applies to the entity index too, and a
+// long-lived server reading a wide sparse keyspace must not retain an
+// entry per entity it ever saw. Hot entities keep non-empty lists, so the
+// steady-state append path stays allocation-free.
 func (s *Scheduler) forget(t *TxnState) {
 	for x, a := range t.Access {
-		if rs := graph.DropRef(s.readers[x], t.ref); len(rs) > 0 {
-			s.readers[x] = rs
-		} else {
-			s.recycleIdx(rs)
-			delete(s.readers, x)
-		}
+		e := s.ents[x]
+		e.readers = graph.DropRef(e.readers, t.ref)
 		if a == model.WriteAccess {
-			if ws := graph.DropRef(s.writers[x], t.ref); len(ws) > 0 {
-				s.writers[x] = ws
-			} else {
-				s.recycleIdx(ws)
-				delete(s.writers, x)
-			}
+			e.writers = graph.DropRef(e.writers, t.ref)
 		}
+		if len(e.readers) > 0 || len(e.writers) > 0 {
+			s.ents[x] = e
+			continue
+		}
+		s.recycleIdx(e.readers)
+		s.recycleIdx(e.writers)
+		delete(s.ents, x)
+		s.ents = graph.ShrinkMap(s.ents, &s.entDeletes)
 	}
 }
 
@@ -606,11 +649,17 @@ func (s *Scheduler) forget(t *TxnState) {
 // not pin its index storage forever).
 const idxFreeMax = 256
 
-// recycleIdx stashes an emptied index entry's backing array for reuse.
+// recycleIdx stashes an emptied entity list's backing array for reuse.
 func (s *Scheduler) recycleIdx(rs []graph.Ref) {
 	if cap(rs) > 0 && len(s.idxFree) < idxFreeMax {
 		s.idxFree = append(s.idxFree, rs[:0])
 	}
+}
+
+// dropTxn removes a departing transaction's record from txns.
+func (s *Scheduler) dropTxn(id model.TxnID) {
+	delete(s.txns, id)
+	s.txns = graph.ShrinkMap(s.txns, &s.txnDeletes)
 }
 
 // deleteTxn removes a completed transaction with the paper's reduction:
@@ -627,7 +676,7 @@ func (s *Scheduler) deleteTxn(id model.TxnID) error {
 	s.forget(t)
 	s.clearCross(t)
 	s.g.ReduceRef(t.ref)
-	delete(s.txns, id)
+	s.dropTxn(id)
 	s.numCompleted--
 	s.releaseState(t)
 	s.stats.Deleted++
@@ -675,8 +724,8 @@ func (s *Scheduler) Noncurrent(id model.TxnID) bool {
 	if !ok || t.Status != model.StatusCompleted {
 		return false
 	}
-	for x := range t.Access {
-		if t.accessSeq[x] >= s.lastWriteSeq[x] {
+	for _, m := range t.accessSeq {
+		if m.seq >= s.current[m.x].seq {
 			return false // t read or wrote the current value of x
 		}
 	}
@@ -695,11 +744,11 @@ func (s *Scheduler) CurrentWriterPresent(id model.TxnID) bool {
 		return false
 	}
 	for x := range t.Access {
-		w, ok := s.lastWriter[x]
-		if !ok || w == id {
+		cw, ok := s.current[x]
+		if !ok || cw.writer == id {
 			return false
 		}
-		if _, present := s.txns[w]; !present {
+		if _, present := s.txns[cw.writer]; !present {
 			return false
 		}
 	}
@@ -765,7 +814,7 @@ func (s *Scheduler) AbortTxn(id model.TxnID) error {
 	s.clearCross(t)
 	s.g.RemoveRef(t.ref)
 	t.Status = model.StatusAborted
-	delete(s.txns, id)
+	s.dropTxn(id)
 	s.numActive--
 	s.releaseState(t)
 	s.stats.Aborts++

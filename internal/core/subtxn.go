@@ -144,18 +144,7 @@ func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
 	s.seq++
 	g := s.g
 	g.ResetTargets()
-	for _, x := range step.Entities {
-		for _, r := range s.readers[x] {
-			if r != t.ref {
-				g.MarkTarget(r)
-			}
-		}
-		for _, w := range s.writers[x] {
-			if w != t.ref {
-				g.MarkTarget(w)
-			}
-		}
-	}
+	s.markAccessors(t, step.Entities)
 	if g.ReachesAnyTarget(t.ref) {
 		s.emit(emit.KindVeto, emit.ClassCycle, t.ID, t.BeginSeq, 0)
 		return VoteLocalCycle, nil
@@ -166,7 +155,7 @@ func (s *Scheduler) PrepareFinal(step model.Step) (PrepareVote, error) {
 	}
 	g.LinkTargetsTo(t.ref)
 	// Note the write accesses (arcs and indexes), but leave the
-	// current-value bookkeeping (lastWriteSeq/lastWriter) to
+	// current-value bookkeeping (current) to
 	// CommitPrepared: an ABORT decision must not leave Corollary 1's
 	// noncurrency test believing these entities were overwritten.
 	for _, x := range step.Entities {
@@ -208,9 +197,8 @@ func (s *Scheduler) CommitPrepared(id model.TxnID) (Result, error) {
 	// the write's prepare-time position (EndSeq), unless a later write of
 	// the entity already landed between vote and decision.
 	for x, a := range t.Access {
-		if a == model.WriteAccess && t.EndSeq > s.lastWriteSeq[x] {
-			s.lastWriteSeq[x] = t.EndSeq
-			s.lastWriter[x] = t.ID
+		if a == model.WriteAccess && t.EndSeq > s.current[x].seq {
+			s.current[x] = currentWrite{seq: t.EndSeq, writer: t.ID}
 		}
 	}
 	s.numActive--

@@ -282,7 +282,7 @@ func TestGraphPins(t *testing.T) {
 }
 
 // TestAbortedPrepareLeavesNoPhantomWrite: an ABORTed prepare must not leave
-// lastWriteSeq/lastWriter claiming the entity was overwritten — otherwise
+// the current-value map claiming the entity was overwritten — otherwise
 // Corollary 1's noncurrency test (and, after client ID reuse, even the
 // presence guard) would let NoncurrentSafe delete the true current writer.
 func TestAbortedPrepareLeavesNoPhantomWrite(t *testing.T) {

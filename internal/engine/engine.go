@@ -733,7 +733,7 @@ func (e *Engine) Stats() Stats {
 	for _, sh := range e.shards {
 		var cs core.Stats
 		if rep, ok := sh.do(request{kind: reqStats}); ok {
-			cs = rep.stats
+			cs = *rep.stats
 		} else {
 			// The shard shut down (do only fails once done is closed, and
 			// final is written before that), so its last snapshot is valid.
@@ -777,9 +777,13 @@ func (e *Engine) QueueDepths() []int64 {
 
 // RetainedCounts returns the per-shard count of retained completed
 // transactions (the storage the deletion policy reclaims), lock-free like
-// QueueDepths. The gauge is refreshed by the shard goroutine after every
-// batch, so it trails the scheduler by at most one batch. Dead shards
-// report zero: a closed engine retains nothing a client can reach.
+// QueueDepths. A shard stores its gauge before it replies to a step that
+// completed a transaction and before it answers a forced sweep, so a
+// caller whose commit (or GovernNow) has returned reads a count that
+// includes it. The amortized sweep runs after the batch's replies and
+// stores the gauge again, so deletions it makes show up at most one batch
+// late. Dead shards report zero: a closed engine retains nothing a client
+// can reach.
 func (e *Engine) RetainedCounts() []int64 {
 	out := make([]int64, len(e.shards))
 	for i, sh := range e.shards {

@@ -72,7 +72,10 @@ type request struct {
 type reply struct {
 	res     Result
 	results []Result
-	stats   core.Stats
+	// stats answers reqStats. A pointer, not a core.Stats: every cell of
+	// the shard's mailbox ring embeds a reply, and only stats requests
+	// need the snapshot.
+	stats *core.Stats
 	// actives answers reqOldest; n answers reqSweep (transactions deleted).
 	actives []core.ActiveInfo
 	n       int64
@@ -107,8 +110,9 @@ type shard struct {
 	// from anywhere — the shardowned analyzer exempts atomics.
 	preparedN atomic.Int64 //txgc:owner shard
 	// retainedN mirrors the scheduler's retained-completed count for
-	// lock-free gauge reads (Engine.RetainedCounts); the shard goroutine
-	// refreshes it after every batch.
+	// lock-free gauge reads (Engine.RetainedCounts). The shard goroutine
+	// stores it before replying to a step that completed a transaction or
+	// to a forced sweep, and again after every batch's amortized sweep.
 	retainedN atomic.Int64
 	// sinceSweep counts completions/aborts since the last GC sweep.
 	sinceSweep int //txgc:owner shard
@@ -240,7 +244,8 @@ func (sh *shard) handle(req request, tk uint64, fire bool) (stop bool) {
 		}
 		sh.mb.Reply(tk, reply{results: req.done})
 	case reqStats:
-		sh.mb.Reply(tk, reply{stats: sh.sched.Stats()})
+		st := sh.sched.Stats()
+		sh.mb.Reply(tk, reply{stats: &st})
 	case reqBeginSub:
 		sh.mb.Reply(tk, reply{res: sh.applyBeginSub(req.step)})
 	case reqPrepareSub:
@@ -358,6 +363,9 @@ func (sh *shard) applyOne(step model.Step) (out Result) {
 		eng.completed.Add(1)
 		eng.routes.delete(res.CompletedTxn)
 		sh.sinceSweep++
+		// Before the reply: a caller that saw its commit acknowledged must
+		// not read a retained count that predates it.
+		sh.retainedN.Store(int64(sh.sched.NumCompleted()))
 	}
 	if res.Aborted != model.NoTxn {
 		sh.sinceSweep++
@@ -467,6 +475,7 @@ func (sh *shard) applyCommitSub(id model.TxnID, decisionDurable bool) Result {
 	}
 	sh.preparedN.Add(-1)
 	sh.sinceSweep++
+	sh.retainedN.Store(int64(sh.sched.NumCompleted()))
 	return Result{Outcome: OutcomeAccepted, Aborted: model.NoTxn, CompletedTxn: res.CompletedTxn}
 }
 
@@ -646,12 +655,12 @@ func (sh *shard) shutdown() {
 				req.done = append(req.done, Result{Step: st, Outcome: OutcomeError,
 					Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: ErrClosed})
 			}
-			sh.mb.Reply(tk, reply{results: req.done, stats: sh.final})
+			sh.mb.Reply(tk, reply{results: req.done, stats: &sh.final})
 			continue
 		}
 		// A drained stats request can still be answered truthfully; every
 		// other kind is refused.
-		sh.mb.Reply(tk, reply{stats: sh.final, res: Result{Step: req.step, Outcome: OutcomeError,
+		sh.mb.Reply(tk, reply{stats: &sh.final, res: Result{Step: req.step, Outcome: OutcomeError,
 			Aborted: model.NoTxn, CompletedTxn: model.NoTxn, Err: ErrClosed}})
 	}
 }

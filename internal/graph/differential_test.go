@@ -309,6 +309,29 @@ func TestGraphDifferentialRandomOps(t *testing.T) {
 		if got, want := g.ForwardClosure(src, through), ref.forwardClosure(src, through); !sameSet(got, want) {
 			t.Fatalf("op %d: ForwardClosure(T%d) diverged: %v vs %v", op, src, got.Sorted(), want.Sorted())
 		}
+		// The slot walk: reach restricted to a random member set equals
+		// the reference closure through members, filtered to members.
+		member := func(n model.TxnID) bool { return int(n)%3 != op%3 }
+		within := make([]bool, g.NumSlots())
+		for _, id := range alive {
+			within[g.Ref(id)] = member(id)
+		}
+		want := make(NodeSet)
+		for id := range ref.forwardClosure(src, member) {
+			if member(id) {
+				want.Add(id)
+			}
+		}
+		got := make(NodeSet)
+		for _, r := range g.AppendReachWithin(nil, g.Ref(src), within) {
+			if got.Has(g.IDOf(r)) {
+				t.Fatalf("op %d: AppendReachWithin(T%d) appended T%d twice", op, src, g.IDOf(r))
+			}
+			got.Add(g.IDOf(r))
+		}
+		if !sameSet(got, want) {
+			t.Fatalf("op %d: AppendReachWithin(T%d) diverged: %v vs %v", op, src, got.Sorted(), want.Sorted())
+		}
 		if !g.Acyclic() {
 			t.Fatalf("op %d: arena graph reports a cycle in an acyclic workload", op)
 		}

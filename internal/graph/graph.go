@@ -83,10 +83,13 @@ type Graph struct {
 	out [][]Ref             // slot → successor slots (unordered)
 	in  [][]Ref             // slot → predecessor slots (unordered)
 	// free lists recycled slots; adjacency slices keep their capacity
-	// across reuse so steady-state churn allocates nothing.
+	// (up to adjKeepMax) across reuse so steady-state churn allocates
+	// nothing.
 	free  []Ref
 	nodes int
 	arcs  int // directed edges (each stored once)
+	// idxDeletes counts deletions from idx since ShrinkMap last rebuilt it.
+	idxDeletes int
 
 	// Epoch-stamped traversal scratch: visited[s] == epoch means slot s
 	// was seen by the current traversal; bumping the epoch resets the
@@ -390,13 +393,58 @@ func (g *Graph) RemoveRef(r Ref) {
 		g.out[p] = DropRef(g.out[p], r)
 		g.arcs--
 	}
-	g.out[r] = g.out[r][:0]
-	g.in[r] = g.in[r][:0]
+	g.out[r] = keepSmall(g.out[r])
+	g.in[r] = keepSmall(g.in[r])
 	g.UnpinRef(r)
 	delete(g.idx, g.ids[r])
+	g.idx = ShrinkMap(g.idx, &g.idxDeletes)
 	g.ids[r] = model.NoTxn
 	g.free = append(g.free, r)
 	g.nodes--
+}
+
+// adjKeepMax is the largest adjacency capacity a freed slot keeps for its
+// next occupant. Typical nodes have a handful of arcs, so keeping their
+// lists makes slot reuse allocation-free; a hub's list (a straggler's, or
+// a node that collected a reduction's spliced arcs) is released, or every
+// slot that ever held a hub would pin its list for good.
+const adjKeepMax = 16
+
+// keepSmall empties an adjacency list, keeping its backing array only if
+// it is small.
+func keepSmall(l []Ref) []Ref {
+	if cap(l) > adjKeepMax {
+		return nil
+	}
+	return l[:0]
+}
+
+// shrinkSlack is the number of deletions ShrinkMap tolerates on top of
+// twice a map's live size before it rebuilds the map: small maps are not
+// worth copying, and large ones are copied rarely.
+const shrinkSlack = 2048
+
+// ShrinkMap records one deletion from m and returns m, or a right-sized
+// copy of m once the deletions since the last copy exceed twice its live
+// size plus shrinkSlack. Go maps never shrink, and under insert/delete
+// churn they also grow past their live size: deleting from a full group
+// leaves a tombstone that only a rehash into a larger table clears. A map
+// whose keys keep coming and going — transaction IDs, the entities of
+// retained transactions — would otherwise keep the memory of its largest
+// past, and more. The copy costs O(live), so its amortized cost per
+// deletion is constant.
+func ShrinkMap[K comparable, V any](m map[K]V, deletes *int) map[K]V {
+	*deletes++
+	if *deletes <= 2*len(m)+shrinkSlack {
+		return m
+	}
+	*deletes = 0
+	//lint:ignore hotpath-alloc amortized: one right-sized copy per 2×live+shrinkSlack deletions, which is what bounds the map's memory
+	c := make(map[K]V, len(m))
+	for k, v := range m {
+		c[k] = v
+	}
+	return c
 }
 
 // Reduce deletes id and splices arcs from every immediate predecessor to
@@ -690,6 +738,39 @@ func (g *Graph) closureInto(out NodeSet, src model.TxnID, through func(model.Txn
 	}
 	g.stack = stack
 	return out
+}
+
+// NumSlots returns the arena size: one past the highest slot ever
+// allocated, so a slot-indexed side table of this length covers every
+// live Ref.
+func (g *Graph) NumSlots() int { return len(g.ids) }
+
+// AppendReachWithin appends to dst every slot reachable from src by a
+// non-empty path that stays inside within: each node after src on the
+// path must have within[slot] set (within is indexed by slot and covers
+// NumSlots). When within marks the completed transactions, the appended
+// slots are exactly src's completed tight successors. Each slot is
+// appended once, src never. The walk reuses the epoch-stamped visited
+// array and stack, so nothing is allocated beyond dst's growth.
+//
+//txgc:hotpath
+func (g *Graph) AppendReachWithin(dst []Ref, src Ref, within []bool) []Ref {
+	ep := g.bumpEpoch()
+	g.visited[src] = ep
+	stack := append(g.stack[:0], src)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range g.out[n] {
+			if g.visited[s] != ep && within[s] {
+				g.visited[s] = ep
+				dst = append(dst, s)
+				stack = append(stack, s)
+			}
+		}
+	}
+	g.stack = stack
+	return dst
 }
 
 // Descendants returns all nodes reachable from src by a non-empty path.

@@ -393,3 +393,40 @@ func TestStringRendering(t *testing.T) {
 		t.Fatal("String should render something")
 	}
 }
+
+func TestShrinkMapRebuildsAfterChurn(t *testing.T) {
+	m := map[int]int{1: 1, 2: 2, 3: 3}
+	deletes := 0
+	for range 2*len(m) + shrinkSlack {
+		ShrinkMap(m, &deletes)
+	}
+	if deletes != 2*len(m)+shrinkSlack {
+		t.Fatalf("deletion counter = %d below the threshold, want %d", deletes, 2*len(m)+shrinkSlack)
+	}
+	c := ShrinkMap(m, &deletes)
+	if deletes != 0 {
+		t.Fatalf("deletion counter = %d after a rebuild, want 0", deletes)
+	}
+	m[99] = 99 // the rebuilt map must not alias the original
+	if len(c) != 3 || c[1] != 1 || c[2] != 2 || c[3] != 3 {
+		t.Fatalf("rebuilt map = %v, want the original's three entries", c)
+	}
+}
+
+func TestRemoveRefReleasesHubAdjacency(t *testing.T) {
+	g := New()
+	hub := g.AddNodeRef(0)
+	for id := model.TxnID(1); id <= adjKeepMax+1; id++ {
+		g.AddNode(id)
+		g.AddArc(0, id)
+	}
+	leaf := g.Ref(1)
+	g.RemoveRef(hub)
+	g.RemoveRef(leaf)
+	if c := cap(g.out[hub]); c != 0 {
+		t.Fatalf("freed hub slot keeps a %d-arc list", c)
+	}
+	if c := cap(g.in[leaf]); c == 0 {
+		t.Fatal("freed leaf slot dropped its small list (reuse would allocate)")
+	}
+}

@@ -8,13 +8,15 @@
 # (BenchmarkEngineRetentionGoverned, peak-kept vs max_peak_kept), the
 # durability layer's WAL overhead at the default fsync batch
 # (BenchmarkEngineWALOverhead on vs off, ns/op delta vs
-# max_wal_overhead_ns), and the submission path's p99 per-step latency at
-# two cores (BenchmarkEngineParallelScaling, p99-step-ns vs
-# max_p99_step_ns).
+# max_wal_overhead_ns), the deletion sweep's allocations
+# (BenchmarkSweepGreedyC1 in internal/core, worst allocs/op across its
+# retained sizes vs max_sweep_allocs_per_op), and the submission path's
+# p99 per-step latency at two cores (BenchmarkEngineParallelScaling,
+# p99-step-ns vs max_p99_step_ns).
 #
 # Usage: check_bench_budget.sh [all|alloc|scale]
 #   all   (default) every gate
-#   alloc allocation + emitter + retention gates only
+#   alloc allocation + emitter + retention + sweep gates only
 #   scale the -cpu 2 p99 latency gate only (the CI bench-scale job)
 set -eu
 cd "$(dirname "$0")/.."
@@ -35,6 +37,7 @@ emit_budget=$(awk '/^max_emit_overhead_ns/ {print $2}' bench_budget.txt)
 kept_budget=$(awk '/^max_peak_kept/ {print $2}' bench_budget.txt)
 p99_budget=$(awk '/^max_p99_step_ns/ {print $2}' bench_budget.txt)
 wal_budget=$(awk '/^max_wal_overhead_ns/ {print $2}' bench_budget.txt)
+sweep_budget=$(awk '/^max_sweep_allocs_per_op/ {print $2}' bench_budget.txt)
 [ -n "$budget" ] || { echo "check_bench_budget: no max_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$nogc_budget" ] || { echo "check_bench_budget: no max_nogc_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 [ -n "$cross_budget" ] || { echo "check_bench_budget: no max_cross_allocs_per_op in bench_budget.txt" >&2; exit 2; }
@@ -42,6 +45,7 @@ wal_budget=$(awk '/^max_wal_overhead_ns/ {print $2}' bench_budget.txt)
 [ -n "$kept_budget" ] || { echo "check_bench_budget: no max_peak_kept in bench_budget.txt" >&2; exit 2; }
 [ -n "$p99_budget" ] || { echo "check_bench_budget: no max_p99_step_ns in bench_budget.txt" >&2; exit 2; }
 [ -n "$wal_budget" ] || { echo "check_bench_budget: no max_wal_overhead_ns in bench_budget.txt" >&2; exit 2; }
+[ -n "$sweep_budget" ] || { echo "check_bench_budget: no max_sweep_allocs_per_op in bench_budget.txt" >&2; exit 2; }
 
 if [ "$section" != "scale" ]; then
 	out=$(go test -run '^$' -bench 'BenchmarkEngineThroughput/shards=4/(policy=greedy-c1|policy=nogc)$|BenchmarkEngineCrossFrac/cross=5' \
@@ -147,6 +151,24 @@ if [ "$section" != "scale" ]; then
 		exit 1
 	fi
 	echo "check_bench_budget: OK: governed peak retention $peak within budget of $kept_budget"
+
+	# Deletion sweep: GreedyC1's SweepNow over a fixed straggler-pinned
+	# graph at three retained sizes. Every size must stay within the budget
+	# (0: the per-sweep C1 index reuses its buffers), so the gate takes the
+	# worst of the three and fails if any size is missing.
+	sweep_out=$(go test -run '^$' -bench 'BenchmarkSweepGreedyC1' \
+		-benchtime 200x -benchmem ./internal/core/)
+	echo "$sweep_out"
+	sweep_sizes=$(echo "$sweep_out" | grep -c '^BenchmarkSweepGreedyC1/retained=' || true)
+	[ "$sweep_sizes" -eq 3 ] || { echo "check_bench_budget: expected 3 BenchmarkSweepGreedyC1 sizes, parsed $sweep_sizes" >&2; exit 2; }
+	sweep_allocs=$(echo "$sweep_out" | awk '/^BenchmarkSweepGreedyC1/ {for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)}' |
+		sort -n | tail -1)
+	[ -n "$sweep_allocs" ] || { echo "check_bench_budget: could not parse sweep allocs/op from benchmark output" >&2; exit 2; }
+	if [ "$sweep_allocs" -gt "$sweep_budget" ]; then
+		echo "check_bench_budget: FAIL: GreedyC1 sweep $sweep_allocs allocs/op (worst size) exceeds budget of $sweep_budget" >&2
+		exit 1
+	fi
+	echo "check_bench_budget: OK: GreedyC1 sweep $sweep_allocs allocs/op (worst size) within budget of $sweep_budget"
 fi
 
 if [ "$section" = "all" ] || [ "$section" = "scale" ]; then
